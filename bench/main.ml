@@ -393,6 +393,23 @@ let micro ?(json = false) ?(check = false) () =
            ignore (Scion_controlplane.Mesh.paths mesh ~src ~dst);
            Staged.stage (fun () ->
                ignore (Scion_controlplane.Mesh.paths mesh ~src ~dst))) );
+      ( "scion_rtt_sample_ns",
+        (* One multiping SCION ping: the analytic RTT draw over a 4-link
+           path of the 29-AS mesh (the campaign's per-ping cost). *)
+        Test.make ~name:"network scion_rtt_sample (29-AS mesh)"
+          (let net = Sciera.Network.create ~per_origin:6 ~verify_pcbs:false () in
+           let fp =
+             match Sciera.Network.paths net ~src:(ia "71-225") ~dst:(ia "71-2:0:5c") with
+             | p :: _ -> p
+             | [] -> invalid_arg "bench: no SCION path 71-225 -> 71-2:0:5c"
+           in
+           Staged.stage (fun () -> ignore (Sciera.Network.scion_rtt_sample net fp))) );
+      ( "ip_rtt_sample_ns",
+        (* One multiping ICMP ping over the IP overlay, memoised leg. *)
+        Test.make ~name:"network ip_rtt_sample (29-AS mesh)"
+          (let net = Sciera.Network.create ~per_origin:6 ~verify_pcbs:false () in
+           let src = ia "71-225" and dst = ia "71-2:0:5c" in
+           Staged.stage (fun () -> ignore (Sciera.Network.ip_rtt_sample net ~src ~dst))) );
       ( "traffic_fair_share_ns",
         (* Steady-state reallocation cost: 64 long-lived fluid flows over a
            10-node capacity-armed chain, one full max-min recompute per

@@ -90,34 +90,36 @@ let run net ?(config = default_config) ?(days = Incidents.window_days) ?sources 
   let intervals = int_of_float (days *. 86400.0 /. config.interval_s) in
   let samples = ref [] in
   let scion_total = ref 0 and ip_total = ref 0 in
-  (* Path probes are refreshed whenever the control plane re-converged. *)
-  let probe_cache : (string, Combinator.fullpath list) Hashtbl.t = Hashtbl.create 512 in
+  (* Path probes are refreshed whenever the control plane re-converged.
+     The cache is keyed by the pair's position in sources x destinations. *)
+  let n_dst = List.length destinations in
+  let probe_cache = Array.make (List.length sources * n_dst) None in
   let probe_epoch = ref (-1) in
   for i = 0 to intervals - 1 do
     let t = float_of_int i *. config.interval_s in
     let day = t /. 86400.0 in
     Network.set_day net day;
     if Network.rebeacon_count net <> !probe_epoch then begin
-      Hashtbl.reset probe_cache;
+      Array.fill probe_cache 0 (Array.length probe_cache) None;
       probe_epoch := Network.rebeacon_count net
     end;
     let hour_frac = Float.rem t 3600.0 /. 3600.0 in
-    List.iter
-      (fun src ->
+    List.iteri
+      (fun si src ->
         let stalled =
           hour_frac > 1.0 -. config.stall_fraction
           && List.exists (Ia.equal src) config.stall_sources
         in
-        List.iter
-          (fun dst ->
+        List.iteri
+          (fun di dst ->
             if not (Ia.equal src dst) then begin
-              let key = Ia.to_string src ^ ">" ^ Ia.to_string dst in
+              let key = (si * n_dst) + di in
               let paths =
-                match Hashtbl.find_opt probe_cache key with
+                match probe_cache.(key) with
                 | Some p -> p
                 | None ->
                     let p = probe_paths net ~src ~dst in
-                    Hashtbl.replace probe_cache key p;
+                    probe_cache.(key) <- Some p;
                     p
               in
               (* SCION: one SCMP ping per selected path per slot; keep the

@@ -6,6 +6,10 @@ module Rng = Scion_util.Rng
 
 let day_seconds = 86400.0
 
+(* One (src, dst) pair's leg over the IP overlay: its min-hop route and
+   BGP detour factor. *)
+type ip_leg = { route : Net.link_id list; detour : float }
+
 type t = {
   topo : Topology.spec;  (** The instantiated description (Figure 1 or generated). *)
   mesh : Mesh.t;
@@ -21,6 +25,9 @@ type t = {
   links_cache : (string, Net.link_id list) Hashtbl.t;
       (** fullpath fingerprint -> fabric links; safe across epochs because
           the interface-id assignment is fixed at construction. *)
+  ip_legs : (Ia.t * Ia.t, ip_leg option) Hashtbl.t;
+      (** (src, dst) -> IP leg, [None] when unreachable; filled on first
+          use, and never stale because [ip] is not changed after [create]. *)
   mutable rebeacons : int;
   mutable probe_seq : int;
   obs : Obs.t option;
@@ -43,8 +50,8 @@ let lookup what to_string tbl key =
   | Some v -> v
   | None -> invalid_arg (Printf.sprintf "Network: unknown %s %s" what (to_string key))
 
-(* Which incident effects apply to a given topology link. *)
-let effects_for (link : Topology.link_info) day =
+(* Which of the [active] incident effects apply to a given topology link. *)
+let effects_for (link : Topology.link_info) active =
   List.filter_map
     (fun (i : Incidents.incident) ->
       let matches a b label =
@@ -57,13 +64,14 @@ let effects_for (link : Topology.link_info) day =
       | Incidents.Link_degraded { a; b; label; extra_ms } when matches a b label ->
           Some (`Degraded extra_ms)
       | Incidents.Link_down _ | Incidents.Link_degraded _ -> None)
-    (Incidents.active_at day)
+    active
 
 let apply_day t day =
   let changed_up = ref false in
+  let active = Incidents.active_at day in
   List.iteri
     (fun idx link ->
-      let effects = effects_for link day in
+      let effects = effects_for link active in
       let want_up = not (List.mem `Down effects) in
       let extra =
         List.fold_left (fun acc e -> match e with `Degraded ms -> acc +. ms | `Down -> acc) 0.0 effects
@@ -200,6 +208,7 @@ let create ?(seed = 0x5C1E_7A5EL) ?(per_origin = 20) ?(verify_pcbs = true)
       last_beacon_day = -1.0;
       path_cache = Hashtbl.create 256;
       links_cache = Hashtbl.create 256;
+      ip_legs = Hashtbl.create 256;
       rebeacons = 0;
       probe_seq = 0;
       obs = telemetry;
@@ -558,11 +567,6 @@ let scmp_probe t ~rng (fp : Combinator.fullpath) =
           | Mesh.Walk_delivered _ | Mesh.Walk_dropped _ -> `Lost))
   | Mesh.Walk_delivered _ -> `Lost
 
-let ip_route t ~src ~dst =
-  let a = lookup "AS" Ia.to_string t.ipnode src
-  and b = lookup "AS" Ia.to_string t.ipnode dst in
-  Net.min_hop_route t.ip ~src:a ~dst:b
-
 (* BGP path quality is heterogeneous: most pairs get a reasonable route,
    but a sizeable minority detour through distant exchange points or
    congested transit (the well-documented BGP path-inflation long tail).
@@ -580,16 +584,31 @@ let bgp_detour_factor src dst =
   else if u < 0.40 then 1.16
   else 0.94
 
+(* The overlay's route and the detour factor are fixed per pair, so each
+   pair runs its Dijkstra and hashes its detour key once, on first use. *)
+let ip_leg t ~src ~dst =
+  match Hashtbl.find_opt t.ip_legs (src, dst) with
+  | Some leg -> leg
+  | None ->
+      let a = lookup "AS" Ia.to_string t.ipnode src
+      and b = lookup "AS" Ia.to_string t.ipnode dst in
+      let leg =
+        Option.map
+          (fun route -> { route; detour = bgp_detour_factor src dst })
+          (Net.min_hop_route t.ip ~src:a ~dst:b)
+      in
+      Hashtbl.replace t.ip_legs (src, dst) leg;
+      leg
+
 let ip_rtt_sample t ~src ~dst =
-  match ip_route t ~src ~dst with
+  match ip_leg t ~src ~dst with
   | None -> `Lost
-  | Some route -> (
-      match Net.path_rtt t.ip route with
+  | Some leg -> (
+      match Net.path_rtt t.ip leg.route with
       | `Lost -> `Lost
-      | `Rtt ms -> `Rtt (ms *. bgp_detour_factor src dst))
+      | `Rtt ms -> `Rtt (ms *. leg.detour))
 
 let ip_rtt_base t ~src ~dst =
-  match ip_route t ~src ~dst with
+  match ip_leg t ~src ~dst with
   | None -> None
-  | Some route ->
-      Some (2.0 *. Net.path_base_latency t.ip route *. bgp_detour_factor src dst)
+  | Some leg -> Some (2.0 *. Net.path_base_latency t.ip leg.route *. leg.detour)

@@ -303,31 +303,51 @@ let queueing_delay_ms t id ~from =
 (* Effective per-traversal loss. The base + burst sum keeps the RNG draw
    discipline of [transmit]/[sample_one_way] intact: with no burst active
    the guard and the draw are exactly the pre-burst ones. *)
-let loss_of l = Float.min 1.0 (l.p.loss +. l.extra_loss)
+let[@inline] loss_of l = Float.min 1.0 (l.p.loss +. l.extra_loss)
 
-let one_way_ms_with ~rng l =
+let[@inline] one_way_ms_with ~rng l =
   l.p.latency_ms +. l.extra_ms +. Rng.exponential rng ~rate:(1.0 /. Float.max 1e-6 l.p.jitter_ms)
 
 let one_way_ms t l = one_way_ms_with ~rng:t.rng l
 
+(* Whether one traversal of [l] survives: a down link loses without a
+   draw, and the loss draw is made only under positive loss. *)
+let[@inline] survives ~rng l =
+  l.up && not (loss_of l > 0.0 && Rng.float rng 1.0 < loss_of l)
+
 let sample_one_way_with t ~rng id =
   let l = get t id in
-  if not l.up then `Lost
-  else if loss_of l > 0.0 && Rng.float rng 1.0 < loss_of l then `Lost
-  else `Delivered (one_way_ms_with ~rng l)
+  if survives ~rng l then `Delivered (one_way_ms_with ~rng l) else `Lost
 
 let sample_one_way t id = sample_one_way_with t ~rng:t.rng id
 
+(* Forward over [ids], then the return traversal with independent samples,
+   as one loop: each hop makes exactly [sample_one_way_with]'s draws and
+   adds its one-way time as [acc +. (latency +. extra +. jitter)]. The
+   goldens pin that association: summing the three terms into [acc] one by
+   one changes the low bits. The RTT stays in a local float ref, so no
+   per-hop variant or box is built. *)
 let path_rtt_with t ~rng ids =
-  let rec go acc = function
-    | [] -> `Rtt acc
-    | id :: rest -> (
-        match sample_one_way_with t ~rng id with
-        | `Lost -> `Lost
-        | `Delivered ms -> go (acc +. ms) rest)
-  in
-  (* Forward, then return traversal with independent samples. *)
-  match go 0.0 ids with `Lost -> `Lost | `Rtt fwd -> ( match go fwd ids with r -> r)
+  let rtt = ref 0.0 and rest = ref ids and back = ref false in
+  let lost = ref false and finished = ref false in
+  while not !finished do
+    match !rest with
+    | [] ->
+        if !back then finished := true
+        else begin
+          back := true;
+          rest := ids
+        end
+    | id :: tl ->
+        rest := tl;
+        let l = get t id in
+        if survives ~rng l then rtt := !rtt +. one_way_ms_with ~rng l
+        else begin
+          lost := true;
+          finished := true
+        end
+  done;
+  if !lost then `Lost else `Rtt !rtt
 
 let path_rtt t ids = path_rtt_with t ~rng:t.rng ids
 

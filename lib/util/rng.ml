@@ -1,17 +1,24 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives in an 8-byte buffer: [Bytes.get_int64_ne]
+   and [set_int64_ne] compile to unboxed loads and stores, where storing
+   into a [mutable int64] field would box every new state. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
 
-let next t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
 
 let of_label seed label =
   let h = ref seed in
@@ -28,29 +35,29 @@ let int t bound =
   let r = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   r mod bound
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 random bits scaled into [0, 1). *)
   let bits = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bits /. 9007199254740992.0 *. bound
 
 let bool t = Int64.logand (next t) 1L = 1L
 
-let gaussian t ~mean ~stddev =
-  let rec draw () =
-    let u1 = float t 1.0 in
-    if u1 <= 1e-300 then draw ()
-    else
-      let u2 = float t 1.0 in
-      mean +. (stddev *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-  in
-  draw ()
+(* Uniform draw in (1e-300, 1): redraws the (vanishingly rare) values too
+   close to 0 for [log]. A loop over a local float ref, not a recursive
+   closure, so the rejection step allocates nothing. *)
+let[@inline] positive_unit t =
+  let u = ref (float t 1.0) in
+  while !u <= 1e-300 do
+    u := float t 1.0
+  done;
+  !u
 
-let exponential t ~rate =
-  let rec draw () =
-    let u = float t 1.0 in
-    if u <= 1e-300 then draw () else -.log u /. rate
-  in
-  draw ()
+let gaussian t ~mean ~stddev =
+  let u1 = positive_unit t in
+  let u2 = float t 1.0 in
+  mean +. (stddev *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
+
+let exponential t ~rate = -.log (positive_unit t) /. rate
 
 let lognormal t ~mu ~sigma = exp (gaussian t ~mean:mu ~stddev:sigma)
 

@@ -221,6 +221,75 @@ let qcheck_dijkstra_optimality =
           abs_float (cost -. sum) < 1e-6
           && cost <= Net.path_base_latency net (List.init (n - 1) Fun.id))
 
+(* --- path_rtt_with against its reference model --------------------------- *)
+
+(* The recursive per-hop [path_rtt_with] that the single loop replaced,
+   kept as the reference: forward then back, each hop one
+   [sample_one_way_with] outcome added to the running sum. *)
+let reference_path_rtt_with net ~rng ids =
+  let rec go acc = function
+    | [] -> `Rtt acc
+    | id :: rest -> (
+        match Net.sample_one_way_with net ~rng id with
+        | `Lost -> `Lost
+        | `Delivered ms -> go (acc +. ms) rest)
+  in
+  match go 0.0 ids with `Lost -> `Lost | `Rtt fwd -> go fwd ids
+
+let same_outcome a b =
+  match (a, b) with
+  | `Lost, `Lost -> true
+  | `Rtt x, `Rtt y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | `Lost, `Rtt _ | `Rtt _, `Lost -> false
+
+(* Random link sets: up and down links, base and extra loss each either 0
+   or positive, extra latency and jitter each either 0 or positive, walked
+   by a random link sequence (repeats allowed). The loop must give the
+   reference's outcome bit for bit and leave the caller's stream at the
+   same position. *)
+let qcheck_path_rtt_matches_reference =
+  QCheck.Test.make ~name:"path_rtt_with matches the recursive reference" ~count:500
+    QCheck.(pair (int_bound 100_000) (int_bound 100_000))
+    (fun (topo_seed, draw_seed) ->
+      let g = Rng.create (Int64.of_int topo_seed) in
+      let zero_or f = if Rng.bool g then 0.0 else f () in
+      let net = Net.create ~rng:(Rng.create 1L) in
+      let a = Net.add_node net "a" and b = Net.add_node net "b" in
+      let n = 1 + Rng.int g 6 in
+      let links =
+        Array.init n (fun _ ->
+            let id =
+              Net.add_link net a b
+                {
+                  Net.default_params with
+                  latency_ms = Rng.float g 40.0;
+                  jitter_ms = zero_or (fun () -> Rng.float g 5.0);
+                  loss = zero_or (fun () -> Rng.float g 0.3);
+                }
+            in
+            Net.set_extra_loss net id (zero_or (fun () -> Rng.float g 1.0));
+            Net.set_extra_latency net id (zero_or (fun () -> Rng.float g 20.0));
+            if Rng.int g 6 = 0 then Net.set_link_up net id false;
+            id)
+      in
+      let ids = List.init (Rng.int g 9) (fun _ -> links.(Rng.int g n)) in
+      let seed = Int64.of_int draw_seed in
+      let r_ref = Rng.create seed and r_new = Rng.create seed in
+      let expected = reference_path_rtt_with net ~rng:r_ref ids in
+      let got = Net.path_rtt_with net ~rng:r_new ids in
+      same_outcome expected got && Int64.equal (Rng.next r_ref) (Rng.next r_new))
+
+let test_path_rtt_down_link_draws_nothing () =
+  let net = Net.create ~rng:(Rng.create 5L) in
+  let a = Net.add_node net "a" and b = Net.add_node net "b" in
+  let down = Net.add_link net a b { Net.default_params with loss = 0.2 } in
+  Net.set_link_up net down false;
+  let rng = Rng.create 77L in
+  (match Net.path_rtt_with net ~rng [ down; down ] with
+  | `Lost -> ()
+  | `Rtt _ -> Alcotest.fail "a down link must lose the ping");
+  Alcotest.(check int64) "stream untouched" (Rng.next (Rng.create 77L)) (Rng.next rng)
+
 (* --- Parameter validation ---------------------------------------------- *)
 
 let fresh_pair () =
@@ -356,6 +425,8 @@ let () =
           Alcotest.test_case "down link drops" `Quick test_net_transmit_down_link_drops;
           Alcotest.test_case "monitor order" `Quick test_net_monitor_order;
           QCheck_alcotest.to_alcotest qcheck_dijkstra_optimality;
+          QCheck_alcotest.to_alcotest qcheck_path_rtt_matches_reference;
+          Alcotest.test_case "down link draws nothing" `Quick test_path_rtt_down_link_draws_nothing;
         ] );
       ( "validation",
         [

@@ -146,6 +146,39 @@ let test_network_ip_baseline () =
   let b = Network.ip_rtt_base net ~src:(ia "71-225") ~dst:(ia "71-2:0:5c") in
   Alcotest.(check bool) "deterministic" true (a = b)
 
+(* The per-ping samplers are the multiping campaign's inner loop: their
+   allocation is budgeted so a regression (a Dijkstra per IP ping, a boxed
+   RNG state, a per-hop variant) fails here rather than only in a
+   benchmark. Measured over 10k calls after a warm-up call that fills the
+   IP-leg memo. *)
+let test_network_sample_allocation () =
+  (* A private instance: the samples advance the fabric streams. *)
+  let net = Network.create ~per_origin:6 ~verify_pcbs:false () in
+  let src = ia "71-225" and dst = ia "71-2:0:5c" in
+  let fp =
+    match Network.paths net ~src ~dst with
+    | p :: _ -> p
+    | [] -> Alcotest.fail "no SCION path"
+  in
+  let words_per_call f =
+    ignore (Sys.opaque_identity (f ()));
+    let n = 10_000 in
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let budget = 64.0 in
+  let scion = words_per_call (fun () -> Network.scion_rtt_sample net fp) in
+  let ip = words_per_call (fun () -> Network.ip_rtt_sample net ~src ~dst) in
+  Alcotest.(check bool)
+    (Printf.sprintf "scion_rtt_sample %.1f words/call <= %.0f" scion budget)
+    true (scion <= budget);
+  Alcotest.(check bool)
+    (Printf.sprintf "ip_rtt_sample %.1f words/call <= %.0f" ip budget)
+    true (ip <= budget)
+
 let test_network_incident_day () =
   (* A private network instance because this test mutates day state. *)
   let net = Network.create ~per_origin:6 ~verify_pcbs:false () in
@@ -471,6 +504,7 @@ let () =
           Alcotest.test_case "ip baseline" `Quick test_network_ip_baseline;
           Alcotest.test_case "incident day" `Slow test_network_incident_day;
           Alcotest.test_case "ufms detour" `Quick test_network_ufms_detour;
+          Alcotest.test_case "sample allocation budget" `Quick test_network_sample_allocation;
         ] );
       ( "multiping",
         [

@@ -52,6 +52,73 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "is permutation" (Array.init 50 Fun.id) sorted
 
+(* Known answers: the first outputs of each draw on fresh streams for two
+   seeds, recorded from the [mutable int64]-state generator. They pin the
+   byte-buffer state representation (and the loop-form [exponential] and
+   [gaussian]) as bit-identical to it. Floats compare by their bits. *)
+type kat = {
+  seed : int64;
+  next : int64 list;
+  ints : int list;  (** [int _ 1000] *)
+  floats : float list;  (** [float _ 2.5] *)
+  exps : float list;  (** [exponential ~rate:0.5] *)
+  gauss : float list;  (** [gaussian ~mean:10. ~stddev:2.] *)
+  split : int64 list;  (** a [split] stream's first outputs *)
+  parent_after_split : int64;
+  label : int64 list;  (** [of_label seed "kat"] *)
+}
+
+let kats =
+  [
+    {
+      seed = 1L;
+      next = [ 0x910A2DEC89025CC1L; 0xBEEB8DA1658EEC67L; 0xF893A2EEFB32555EL ];
+      ints = [ 616; 129; 647 ];
+      floats = [ 0x1.6a9972cf5685ep+0; 0x1.dd4ce2137de54p+0; 0x1.36b88baab9feep+1 ];
+      exps = [ 0x1.22e71d335c6ccp+0; 0x1.2c5cac7890103p-1; 0x1.e21d7bedcd632p-5 ];
+      gauss = [ 0x1.3e3127fa1978dp+3; 0x1.3169c43bca782p+3; 0x1.46990aca803dcp+3 ];
+      split = [ 0x5E41AB087439611EL; 0xF18D6CE93D6CF1EEL; 0xB95F66D327E8D78L ];
+      parent_after_split = 0xBEEB8DA1658EEC67L;
+      label = [ 0x9A12CBA85E39651BL; 0xE576D8ECDA952C32L; 0xF5E1C791E98C4609L ];
+    };
+    {
+      seed = 0x5C1E_7A5EL;
+      next = [ 0xD53132F895400743L; 0x4A248D325A70B8B8L; 0x44F2E8A29B1DD026L ];
+      ints = [ 16; 214; 673 ];
+      floats = [ 0x1.0a7d7fb6ba9p+1; 0x1.72b6c1fbc433ap-1; 0x1.58be8b2d07951p-1 ];
+      exps = [ 0x1.76c001fcbd534p-2; 0x1.3d3b365809727p+1; 0x1.4fd2ef0240c93p+1 ];
+      gauss = [ 0x1.3676043bd8e0bp+3; 0x1.7fc51c1af3207p+3; 0x1.54f80e96026aap+3 ];
+      split = [ 0x3A8DD06671C00294L; 0xBE123F9F75B56FAL; 0x7B7FB4C795DBEE73L ];
+      parent_after_split = 0x4A248D325A70B8B8L;
+      label = [ 0xC0FFA7F11EAC6633L; 0x1F79A02A9A0EE20AL; 0x9C2DDF2BE1F32CDFL ];
+    };
+  ]
+
+let test_rng_known_answers () =
+  let draws r f = List.init 3 (fun _ -> f r) in
+  let bits = List.map Int64.bits_of_float in
+  List.iter
+    (fun k ->
+      let fresh () = Rng.create k.seed in
+      let name what = Printf.sprintf "seed %Ld %s" k.seed what in
+      Alcotest.(check (list int64)) (name "next") k.next (draws (fresh ()) Rng.next);
+      Alcotest.(check (list int)) (name "int") k.ints (draws (fresh ()) (fun r -> Rng.int r 1000));
+      Alcotest.(check (list int64))
+        (name "float") (bits k.floats)
+        (bits (draws (fresh ()) (fun r -> Rng.float r 2.5)));
+      Alcotest.(check (list int64))
+        (name "exponential") (bits k.exps)
+        (bits (draws (fresh ()) (fun r -> Rng.exponential r ~rate:0.5)));
+      Alcotest.(check (list int64))
+        (name "gaussian") (bits k.gauss)
+        (bits (draws (fresh ()) (fun r -> Rng.gaussian r ~mean:10.0 ~stddev:2.0)));
+      let parent = fresh () in
+      let child = Rng.split parent in
+      Alcotest.(check (list int64)) (name "split") k.split (draws child Rng.next);
+      Alcotest.(check int64) (name "parent after split") k.parent_after_split (Rng.next parent);
+      Alcotest.(check (list int64)) (name "of_label") k.label (draws (Rng.of_label k.seed "kat") Rng.next))
+    kats
+
 let test_stats_mean_stddev () =
   check_float "mean" 3.0 (Stats.mean [| 1.0; 2.0; 3.0; 4.0; 5.0 |]);
   check_float "stddev" (sqrt 2.0) (Stats.stddev [| 1.0; 2.0; 3.0; 4.0; 5.0 |])
@@ -303,6 +370,7 @@ let () =
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
         ] );
       ( "stats",
         [
