@@ -4,7 +4,7 @@
    (Ipa), then applies per-file suppressions and the optional baseline
    ratchet. The CLI and the test suite both call [analyze]. *)
 
-let default_dirs = [ "lib"; "bin"; "bench"; "examples"; "devtools" ]
+let default_dirs = [ "lib"; "bin"; "bench"; "examples"; "devtools"; "perfbench" ]
 
 let registry_rel = "devtools/lint/telemetry.registry"
 

@@ -5,8 +5,8 @@
                      [--list-rules] [DIR ...]
 
    Runs the two-phase analyzer over every .ml/.mli under the given
-   directories (default: lib bin bench examples devtools, relative to
-   --root): the per-file rules, then the interprocedural passes
+   directories (default: lib bin bench examples devtools perfbench,
+   relative to --root): the per-file rules, then the interprocedural passes
    (rng-stream-provenance, hotpath-allocation, telemetry-registry) over the
    linked lib/ + bin/ call graph. With --baseline, findings already
    recorded in FILE are forgiven and only new ones fail (the ratchet);

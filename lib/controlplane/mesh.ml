@@ -437,8 +437,6 @@ let cert_lookup t ia =
           | None -> None
           | Some trc -> Some (n.cert, Ca.ca_cert ca, trc)))
 
-let cert_material = cert_lookup
-
 (* The interface over which a stored PCB arrived: the sender's entry names
    its egress interface; map it back through the declared links. *)
 let arrival_ifid _t (n : node) (pcb : Pcb.t) =

@@ -99,10 +99,10 @@ val trc : t -> int -> Scion_cppki.Trc.t
 
 val cert_of : t -> Ia.t -> Scion_cppki.Cert.t
 
-(** [cert_material t ia] is the (AS certificate, CA certificate, TRC)
+(** [cert_lookup t ia] is the (AS certificate, CA certificate, TRC)
     triple for PCB verification — the lookup a control service performs
-    before trusting a beacon entry. *)
-val cert_material :
+    before trusting a beacon entry, and the [~lookup] of {!Pcb.verify}. *)
+val cert_lookup :
   t -> Ia.t -> (Scion_cppki.Cert.t * Scion_cppki.Cert.t * Scion_cppki.Trc.t) option
 val fwkey_of : t -> Ia.t -> Scion_dataplane.Fwkey.t
 val router_ifaces : t -> Ia.t -> Scion_dataplane.Router.iface list

@@ -144,14 +144,17 @@ let verify t ~cache ~lookup ~now =
        for every entry. Pass 2: one batched signature verification over the
        whole PCB — the common case (all signatures valid, most already
        cached) costs a single random-linear-combination check instead of
-       one full Schnorr verification per entry. *)
+       one full Schnorr verification per entry. The chain's two certificate
+       signatures are memoised in [cache] too, so a certificate is checked
+       once however many entries chain through it. *)
+    let verify_cert = Sigcache.verify_cert cache in
     let rec collect i acc = function
       | [] -> Ok (List.rev acc)
       | e :: rest -> (
           match lookup e.ia with
           | None -> Error (Unknown_as e.ia)
           | Some (as_cert, ca_cert, trc) -> (
-              match Scion_cppki.Verify.chain ~trc ~ca_cert ~as_cert ~now with
+              match Scion_cppki.Verify.chain ~verify_cert ~trc ~ca_cert ~as_cert ~now with
               | Error err -> Error (Bad_signature (e.ia, Scion_cppki.Verify.error_to_string err))
               | Ok () ->
                   let msg = signed_bytes_upto t i in

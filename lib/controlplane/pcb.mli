@@ -90,7 +90,9 @@ val verify :
   (unit, check_error) result
 (** Cryptographic verification of every entry signature through the
     CP-PKI: [lookup ia] returns the AS certificate, its CA certificate and
-    the relevant TRC. *)
+    the relevant TRC. Entry signatures and the chain's certificate
+    signatures are memoised in [cache] ({!Sigcache.verify_batch},
+    {!Sigcache.verify_cert}); the chain's trust decisions run every time. *)
 
 val interface_fingerprint : t -> string
 (** Identity of the segment as a sequence of (IA, ingress, egress)

@@ -1,11 +1,24 @@
 type t = {
   table : (string, bool) Hashtbl.t;
+  certs : (string, bool) Hashtbl.t;
   mutable epoch : string;
+  mutable epoch_digest : string;
   mutable hit_count : int;
   mutable miss_count : int;
 }
 
-let create () = { table = Hashtbl.create 1024; epoch = ""; hit_count = 0; miss_count = 0 }
+let cert_capacity = 4096
+
+let create () =
+  {
+    table = Hashtbl.create 1024;
+    certs = Hashtbl.create 256;
+    epoch = "";
+    epoch_digest = Scion_crypto.Sha256.digest "";
+    hit_count = 0;
+    miss_count = 0;
+  }
+
 let global = create ()
 
 (* The key epoch is mixed into every cache key, so entries verified under
@@ -19,8 +32,10 @@ let cache_key t pub ~msg ~signature =
 let set_epoch t epoch =
   if not (String.equal t.epoch epoch) then begin
     t.epoch <- epoch;
+    t.epoch_digest <- Scion_crypto.Sha256.digest epoch;
     (* The old epoch's entries are unreachable; drop them eagerly. *)
-    Hashtbl.reset t.table
+    Hashtbl.reset t.table;
+    Hashtbl.reset t.certs
   end
 
 let epoch t = t.epoch
@@ -74,10 +89,39 @@ let verify_batch t items =
       match Hashtbl.find_opt t.table key with Some v -> v | None -> false)
     keyed
 
+(* Certificate-signature verdicts live in their own table so that [hits]
+   and [misses] keep counting PCB signatures only. The key is the epoch
+   digest, the 32-byte issuer key and the digest of the signed bytes — all
+   fixed-width — followed by the signature, so no two distinct
+   (epoch, key, message, signature) tuples share a key. A full table is
+   dropped whole: the next chain checks refill it with the live
+   certificates. *)
+let verify_cert t issuer_pub (cert : Scion_cppki.Cert.t) =
+  let msg = Scion_cppki.Cert.signed_bytes cert in
+  let signature = cert.Scion_cppki.Cert.signature in
+  let key =
+    String.concat ""
+      [
+        t.epoch_digest;
+        Scion_crypto.Schnorr.public_to_string issuer_pub;
+        Scion_crypto.Sha256.digest msg;
+        signature;
+      ]
+  in
+  match Hashtbl.find_opt t.certs key with
+  | Some v -> v
+  | None ->
+      let v = Scion_crypto.Schnorr.verify issuer_pub ~msg ~signature in
+      if Hashtbl.length t.certs >= cert_capacity then Hashtbl.reset t.certs;
+      Hashtbl.replace t.certs key v;
+      v
+
+let cert_entries t = Hashtbl.length t.certs
 let hits t = t.hit_count
 let misses t = t.miss_count
 
 let clear t =
   Hashtbl.reset t.table;
+  Hashtbl.reset t.certs;
   t.hit_count <- 0;
   t.miss_count <- 0

@@ -17,7 +17,8 @@ val set_epoch : t -> string -> unit
     trusted TRC's [isd:serial] pair. The epoch is mixed into every cache
     key and changing it drops all entries, so verdicts produced under a
     rotated-out (possibly compromised) trust root cannot keep validating
-    signatures after a TRC update. Setting the current epoch is a no-op. *)
+    signatures after a TRC update. Setting the current epoch is a no-op.
+    The certificate memo of {!verify_cert} is dropped with it. *)
 
 val epoch : t -> string
 (** The current key epoch ([""] until {!set_epoch} is called). *)
@@ -34,6 +35,22 @@ val verify_batch :
     collapsed first). If the batched check rejects, each miss is re-verified
     individually so verdicts stay exact per item. All results are cached. *)
 
+val verify_cert : t -> Scion_crypto.Schnorr.public_key -> Scion_cppki.Cert.t -> bool
+(** [verify_cert t issuer_pub cert] is {!Scion_cppki.Cert.verify_with}
+    [issuer_pub cert], memoised per key epoch: a certificate signature is
+    checked once, however many PCB entries chain through it. Pass it to
+    {!Scion_cppki.Verify.chain} as [~verify_cert]; the chain's trust
+    decisions (validity windows, CA authorisation, root lookup, issuer
+    matching) still run on every call. The memo holds at most 4096
+    verdicts and is emptied whole when full. It does not move {!hits} or
+    {!misses}, which count PCB signatures only. *)
+
+val cert_entries : t -> int
+(** Number of memoised certificate verdicts. *)
+
 val hits : t -> int
 val misses : t -> int
+
 val clear : t -> unit
+(** Drop every memoised verdict (PCB and certificate) and zero the
+    hit/miss counters. The epoch is kept. *)

@@ -35,7 +35,6 @@ val renew : t -> current:Cert.t -> pubkey:Scion_crypto.Schnorr.public_key -> now
 
 val revoke : t -> serial:int -> unit
 val is_revoked : t -> serial:int -> bool
-val issued_count : t -> int
 
 val needs_renewal : Cert.t -> now:float -> bool
 (** Renewal policy used by the orchestrator: renew when less than one third

@@ -82,8 +82,6 @@ let remaining_fraction t now =
   let span = t.not_after -. t.not_before in
   if span <= 0.0 then 0.0 else Float.max 0.0 (Float.min 1.0 ((t.not_after -. now) /. span))
 
-let fingerprint t = Scion_util.Hex.short ~n:12 (Scion_crypto.Sha256.digest (signed_bytes { t with signature = "" }))
-
 let pp fmt t =
   Format.fprintf fmt "%s cert #%d for %s (by %s, %s)"
     (match t.kind with Ca -> "CA" | As_signing -> "AS")

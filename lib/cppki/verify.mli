@@ -10,19 +10,17 @@ type error =
 val error_to_string : error -> string
 
 val chain :
-  trc:Trc.t -> ca_cert:Cert.t -> as_cert:Cert.t -> now:float -> (unit, error) result
-(** Full chain check: the TRC is within validity; the CA certificate's
-    subject is an authorized CA AS of the TRC and its signature verifies
-    under the named TRC root key; the AS certificate verifies under the CA
-    key and is within validity; issuers line up. *)
-
-val pcb_signature :
+  verify_cert:(Scion_crypto.Schnorr.public_key -> Cert.t -> bool) ->
   trc:Trc.t ->
   ca_cert:Cert.t ->
   as_cert:Cert.t ->
   now:float ->
-  msg:string ->
-  signature:string ->
   (unit, error) result
-(** [chain] plus verification of [signature] over [msg] under the AS
-    certificate's public key. *)
+(** Full chain check: the TRC is within validity; the CA certificate's
+    subject is an authorized CA AS of the TRC and its signature verifies
+    under the named TRC root key; the AS certificate verifies under the CA
+    key and is within validity; issuers line up. The two signature checks
+    go through [verify_cert issuer_key cert], which must answer exactly
+    {!Cert.verify_with}: pass [Cert.verify_with] itself, or a memo of it
+    such as [Scion_controlplane.Sigcache.verify_cert]. Every other check
+    runs on every call, in the order above. *)

@@ -270,7 +270,7 @@ let test_pcb_verify_rejects_tamper () =
   match Mesh.up_segments m e with
   | [] -> Alcotest.fail "no up segments"
   | pcb :: _ -> (
-      let lookup = Mesh.cert_material m in
+      let lookup = Mesh.cert_lookup m in
       let cache = Sigcache.create () in
       (match Pcb.verify pcb ~cache ~lookup ~now with
       | Ok () -> ()

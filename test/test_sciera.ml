@@ -179,6 +179,34 @@ let test_network_sample_allocation () =
     (Printf.sprintf "ip_rtt_sample %.1f words/call <= %.0f" ip budget)
     true (ip <= budget)
 
+(* One repair-triggered re-beaconing with PCB verification on: the chain
+   check's certificate verdicts are memoised in the signature cache, so the
+   repair re-pays only for PCB signatures. Before the memo this allocated
+   100.0 M minor words (two uncached Schnorr verifies per PCB entry); with
+   it 25.3 M. The budget fails if the memo is dropped. The PCB-signature
+   hit/miss counts are those of the memo-free code: the memo must not move
+   them. *)
+let test_rebeacon_allocation () =
+  let module Mesh = Scion_controlplane.Mesh in
+  let module Sigcache = Scion_controlplane.Sigcache in
+  (* The counts depend on what the process-wide cache already holds. *)
+  Sigcache.clear Sigcache.global;
+  let net = Network.create ~per_origin:4 ~verify_pcbs:true () in
+  let mesh = Network.mesh net in
+  let id = match Mesh.links mesh with (id, _) :: _ -> id | [] -> Alcotest.fail "no links" in
+  Mesh.set_link_state mesh id ~up:false;
+  let hits = Sigcache.hits Sigcache.global and misses = Sigcache.misses Sigcache.global in
+  let before = Gc.minor_words () in
+  let restored = Mesh.restore_link mesh id ~now:(Network.now_unix net) in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "link restored and re-beaconed" true restored;
+  let budget = 40e6 in
+  Alcotest.(check bool)
+    (Printf.sprintf "re-beaconing %.1f M minor words <= %.0f M" (words /. 1e6) (budget /. 1e6))
+    true (words <= budget);
+  Alcotest.(check int) "sigcache hits" 1385 (Sigcache.hits Sigcache.global - hits);
+  Alcotest.(check int) "sigcache misses" 635 (Sigcache.misses Sigcache.global - misses)
+
 let test_network_incident_day () =
   (* A private network instance because this test mutates day state. *)
   let net = Network.create ~per_origin:6 ~verify_pcbs:false () in
@@ -505,6 +533,7 @@ let () =
           Alcotest.test_case "incident day" `Slow test_network_incident_day;
           Alcotest.test_case "ufms detour" `Quick test_network_ufms_detour;
           Alcotest.test_case "sample allocation budget" `Quick test_network_sample_allocation;
+          Alcotest.test_case "re-beaconing allocation budget" `Quick test_rebeacon_allocation;
         ] );
       ( "multiping",
         [
